@@ -26,11 +26,10 @@ struct Partition {
   std::size_t CutSize(const rdf::DataGraph& graph) const;
 
   /// Cut restricted to the edge kinds whose EdgeKindBit is set in
-  /// `kind_mask`. The all-kinds overload over-reports the cut a sharded
-  /// deployment pays: attribute/type/subclass edges end at value or class
-  /// vertices that are replicated (or derived) everywhere, so only
-  /// entity-entity relation edges — EdgeKindBit(EdgeKind::kRelation) —
-  /// cross shard boundaries at query time.
+  /// `kind_mask`. The all-kinds overload over-reports the cut between
+  /// entity blocks: attribute/type/subclass edges end at value or class
+  /// vertices shared by many entities, so only entity-entity relation
+  /// edges — EdgeKindBit(EdgeKind::kRelation) — link two entity blocks.
   std::size_t CutSize(const rdf::DataGraph& graph, unsigned kind_mask) const;
 };
 

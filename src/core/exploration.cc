@@ -126,8 +126,7 @@ double SubgraphExplorer::CandidatePruneCost() const {
 void SubgraphExplorer::InsertCandidate(std::uint64_t hash, double cost,
                                        summary::ElementId n, std::uint32_t kw,
                                        std::uint32_t new_cursor,
-                                       const std::uint32_t* choice,
-                                       std::uint64_t discovery) {
+                                       const std::uint32_t* choice) {
   ++stats_.subgraphs_generated;
   CandidateStore& store = scratch_->candidates;
   bool inserted = false;
@@ -159,7 +158,6 @@ void SubgraphExplorer::InsertCandidate(std::uint64_t hash, double cost,
   // fail the dedup above never pay for one.
   MatchingSubgraph& sg = store.subgraph(slot);
   sg.cost = cost;
-  sg.discovery = discovery;  // the event that achieved this (final) cost
   sg.connecting_element = n;
   sg.nodes.assign(scratch_->cand_nodes.begin(), scratch_->cand_nodes.end());
   sg.edges.assign(scratch_->cand_edges.begin(), scratch_->cand_edges.end());
@@ -305,16 +303,8 @@ void SubgraphExplorer::GenerateCandidates(summary::ElementId n,
     nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
     std::sort(edges.begin(), edges.end());
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    // Discovery coordinate: pop ordinal + 1-based combination index at this
-    // event. Both explorers enumerate combinations with the same best-first
-    // successor rule, so the coordinate is identical across them — and
-    // across shards, whose pop streams replay the unsharded run.
-    const std::uint64_t discovery =
-        (static_cast<std::uint64_t>(stats_.cursors_popped) << 20) |
-        static_cast<std::uint64_t>(std::min<std::size_t>(combinations,
-                                                         0xFFFFF));
     InsertCandidate(StructureHashOf(nodes, edges), combo.cost, n, kw,
-                    new_cursor, choice, discovery);
+                    new_cursor, choice);
 
     // Successors: advance one dimension each. Advancing only dimensions at
     // or after the last non-zero one visits every combination exactly once
@@ -462,14 +452,7 @@ std::vector<MatchingSubgraph> SubgraphExplorer::FindTopK() {
     if (record) {
       scratch_->paths.AppendTo(path_list, cursor_idx);  // Alg. 1: addCursor
       ++stats_.paths_recorded;
-      // Sharded runs only *emit* candidates at connecting elements this
-      // shard owns; recording and expansion above are untouched, so the pop
-      // stream (and hence the stop point) can only extend past the
-      // unsharded run's, never diverge from it.
-      if (options_.candidate_scope == nullptr ||
-          options_.candidate_scope->OwnsConnector(*graph_, n)) {
-        GenerateCandidates(n, cursor_idx);  // Alg. 2 body
-      }
+      GenerateCandidates(n, cursor_idx);  // Alg. 2 body
 
       // Alg. 1, lines 13-22: expand to all neighbors except the parent,
       // refusing cyclic paths. Incident CSR/overlay runs are iterated
@@ -532,13 +515,6 @@ std::vector<MatchingSubgraph> SubgraphExplorer::FindTopK() {
       break;
     }
   }
-
-  // Completeness certificate: every matching subgraph of the graph whose
-  // cost is strictly below this is already represented in the candidate
-  // store (possibly deduplicated). A complete run certifies up to the
-  // remaining-cost lower bound (= +inf when the heap drained); an early
-  // stop certifies up to its verified stop bound.
-  stats_.complete_below = std::min(stop_bound_, RemainingLowerBound());
 
   const auto& ranked = scratch_->candidates.ranked();
   std::size_t count = std::min(options_.k, ranked.size());

@@ -16,21 +16,6 @@
 
 namespace grasp::core {
 
-/// Restricts which connecting elements may generate candidates. A sharded
-/// deployment runs the full exploration on every shard — identical pops,
-/// identical path recording — but each shard only *emits* candidates at the
-/// connecting elements it owns, so the per-structure work (combination
-/// enumeration, dedup, materialization, ranking) partitions across shards
-/// while the traversal stays byte-identical to the unsharded run. Must be
-/// pure (same answer for the same element every time) and thread-safe.
-class CandidateScope {
- public:
-  virtual ~CandidateScope() = default;
-  /// True when this scope generates candidates at connecting element `n`.
-  virtual bool OwnsConnector(const summary::AugmentedGraph& graph,
-                             summary::ElementId n) const = 0;
-};
-
 /// Parameters of Algorithms 1 and 2 (Sec. VI).
 struct ExplorationOptions {
   /// Number of matching subgraphs to compute (the paper's k).
@@ -83,13 +68,6 @@ struct ExplorationOptions {
   /// microseconds of work, large enough that the poll (and its clock read)
   /// stays invisible next to a pop's graph traffic.
   std::uint32_t control_poll_interval = 32;
-  /// Candidate-generation ownership for sharded runs: when non-null, only
-  /// connecting elements the scope owns generate candidates. Exploration —
-  /// pops, recording, expansion, termination bookkeeping other than the
-  /// candidate list — is unaffected, so a scoped run pops a superset of the
-  /// unsharded run's stream (it can only terminate later, never earlier).
-  /// Must outlive the exploration. nullptr = own everything (unsharded).
-  const CandidateScope* candidate_scope = nullptr;
 };
 
 /// Counters exposed for benchmarks and tests.
@@ -105,14 +83,6 @@ struct ExplorationStats {
   bool budget_exceeded = false;   ///< a safety valve fired
   bool cancelled = false;         ///< the QueryControl cancel flag stopped it
   bool deadline_expired = false;  ///< the QueryControl deadline stopped it
-  /// Completeness certificate: every matching subgraph of the *full* graph
-  /// with cost strictly below this bound either is in the returned ranking
-  /// or dedups against a returned structure of equal-or-lower cost. On a
-  /// run-to-completion this is the final remaining-cost lower bound; on an
-  /// early stop it is the verified stop bound. The sharded gather cuts the
-  /// merged ranking at the minimum of the shards' certificates — that
-  /// prefix is provably identical to the unsharded ranking's prefix.
-  double complete_below = std::numeric_limits<double>::infinity();
   /// True when the run stopped before either natural end state — on budget,
   /// cancel, or deadline — so the returned ranking is the verified prefix
   /// of the full one (possibly empty), not the complete top-k.
@@ -186,10 +156,9 @@ class SubgraphExplorer {
   void GenerateCandidates(summary::ElementId n, std::uint32_t new_cursor);
   /// Dedups by structure hash and, when the candidate survives, materializes
   /// it from the scratch element sets + the chosen cursors' parent chains.
-  /// `discovery` stamps the generating event (see MatchingSubgraph).
   void InsertCandidate(std::uint64_t hash, double cost, summary::ElementId n,
                        std::uint32_t kw, std::uint32_t new_cursor,
-                       const std::uint32_t* choice, std::uint64_t discovery);
+                       const std::uint32_t* choice);
   /// Capacity of the candidate list (k plus dedup slack).
   std::size_t CandidateCap() const;
   /// Cost above which a new combination cannot reach the top k distinct

@@ -249,14 +249,6 @@ void ReferenceExplorer::GenerateCandidates(summary::ElementId n,
     subgraph.connecting_element = n;
     subgraph.paths.resize(num_keywords_);
     subgraph.cost = combo.cost;
-    // Same discovery coordinate as SubgraphExplorer: pop ordinal + 1-based
-    // combination index (the enumeration order is identical). Stored only
-    // when the candidate is accepted, so a structure's stamp is always the
-    // event that achieved its current best cost.
-    subgraph.discovery =
-        (static_cast<std::uint64_t>(stats_.cursors_popped) << 20) |
-        static_cast<std::uint64_t>(
-            std::min<std::size_t>(combinations, 0xFFFFF));
     for (std::uint32_t j = 0; j < num_keywords_; ++j) {
       if (j == kw) {
         subgraph.paths[j] = new_path;
@@ -408,12 +400,7 @@ std::vector<MatchingSubgraph> ReferenceExplorer::FindTopK() {
     if (record) {
       paths.push_back(cursor_idx);  // Alg. 1, line 11: n.addCursor(c)
       ++stats_.paths_recorded;
-      // Same ownership gate as SubgraphExplorer: sharded runs emit
-      // candidates only at owned connecting elements.
-      if (options_.candidate_scope == nullptr ||
-          options_.candidate_scope->OwnsConnector(*graph_, n)) {
-        GenerateCandidates(n, cursor_idx);  // Alg. 2 body
-      }
+      GenerateCandidates(n, cursor_idx);  // Alg. 2 body
 
       // Alg. 1, lines 13-22: expand to all neighbors except the parent,
       // refusing cyclic paths.
@@ -448,9 +435,6 @@ std::vector<MatchingSubgraph> ReferenceExplorer::FindTopK() {
       break;
     }
   }
-
-  // Completeness certificate — see ExplorationStats::complete_below.
-  stats_.complete_below = std::min(stop_bound_, RemainingLowerBound());
 
   // Early stop: keep only the verified prefix (see SubgraphExplorer).
   // Complete runs leave stop_bound_ at +inf, dropping nothing.

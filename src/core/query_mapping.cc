@@ -104,18 +104,27 @@ query::ConjunctiveQuery MapToQuery(const summary::AugmentedGraph& graph,
     if (node.kind == summary::NodeKind::kValue) {
       // Re-attach the value through one of its augmented A-edges so the
       // query can mention it (a V-vertex alone is not a triple pattern).
+      // Under a predicate scope only admitted edges qualify; a value with
+      // none has no in-scope interpretation.
+      bool attached = false;
       for (summary::EdgeId e : graph.IncidentEdges(n)) {
         const summary::SummaryEdge& edge = graph.edge(e);
         if (edge.kind != summary::SummaryEdgeKind::kAttribute ||
             edge.to != n) {
           continue;
         }
+        if (context.edge_filter != nullptr &&
+            !context.edge_filter->Contains(e)) {
+          continue;
+        }
         emit_type(edge.from);
         q.AddAtom(query::Atom{edge.label,
                               query::QueryTerm::Variable(var_of(edge.from)),
                               query::QueryTerm::Constant(node.term)});
+        attached = true;
         break;
       }
+      if (!attached) return query::ConjunctiveQuery();
     }
     // Thing / artificial nodes in isolation constrain nothing.
   }

@@ -2,6 +2,7 @@
 #define GRASP_CORE_QUERY_MAPPING_H_
 
 #include "core/subgraph.h"
+#include "graph/edge_filter.h"
 #include "query/conjunctive_query.h"
 #include "summary/augmented_graph.h"
 
@@ -13,6 +14,10 @@ struct QueryMappingContext {
   /// type(var, class) use it. kInvalidTermId suppresses type atoms (only
   /// possible for data without any class assertions).
   rdf::TermId type_term = rdf::kInvalidTermId;
+  /// The query's predicate scope over the augmented graph (the view the
+  /// exploration ran on); must outlive the call. A lone V-vertex is only
+  /// re-attached through an A-edge the scope admits. nullptr = unscoped.
+  const graph::OverlayEdgeFilter* edge_filter = nullptr;
 };
 
 /// Translates a matching subgraph of the augmented summary graph into a
@@ -28,7 +33,9 @@ struct QueryMappingContext {
 ///    subclass(c1, c2) (checkable against the data, joins nothing);
 ///  - `Thing` nodes emit no type atom (they stand for untyped entities);
 ///  - a subgraph consisting of a single class node maps to type(x, c); a
-///    single keyword V-vertex maps through its cheapest incident A-edge.
+///    single keyword V-vertex maps through its first incident A-edge that
+///    the context's edge filter admits. With no such edge the V-vertex
+///    cannot be expressed in scope and the result is an empty query.
 ///
 /// The query's cost is set to the subgraph's cost. Duplicate atoms emitted
 /// by adjacent rules are removed.

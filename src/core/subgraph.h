@@ -37,14 +37,6 @@ struct MatchingSubgraph {
   /// element, as the visited element sequence (origin first).
   std::vector<std::vector<summary::ElementId>> paths;
 
-  /// Discovery coordinate of the decomposition that achieved `cost`:
-  /// (cursors_popped << 20) | combination-index at the generating event.
-  /// Both explorers enumerate combinations identically, so the coordinate
-  /// is a total order on generation events that is stable across runs —
-  /// the sharded gather uses it to pick the same winning decomposition the
-  /// unsharded run would keep when two shards discover one structure.
-  std::uint64_t discovery = 0;
-
   /// Identity of the subgraph as a structure (independent of path
   /// decomposition and cost): the sorted element sets. Used by tests and
   /// differential harnesses; the hot path dedups on StructureHash().

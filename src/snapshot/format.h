@@ -85,11 +85,10 @@ enum SectionId : std::uint32_t {
   /// indexes; bucket = term length). Added in format version 2.
   kSectionIiBucketOffsets = 32,
   kSectionIiBucketTerms = 33,
-  /// shard::ShardPlan: element 0 = shard count, elements 1..NumVertices =
-  /// per-vertex shard ids. Optional — absent on unsharded builds, and
-  /// readers tolerate absence (no version bump; an old reader skips the
-  /// unknown id, an old image simply has no plan).
-  kSectionShardPlan = 34,
+  // Id 34 is reserved: images from earlier builds may carry an optional
+  // per-vertex partition section under it. Ids are append-only and the
+  // reader skips ids it does not know, so such images still open; never
+  // reuse 34 for a different payload.
 };
 
 struct FileHeader {

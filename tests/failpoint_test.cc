@@ -1,8 +1,9 @@
 // Fault-injection tests: the failpoint registry itself (arm/fire budgets,
 // hit counters, environment arming) and the production failure paths it
 // exists to exercise — transient snapshot-open failures healed by the
-// engine's bounded retry+backoff, hard failures surfaced as Status, and
-// FreeListPool exhaustion degrading to counted transient allocations with
+// engine's bounded retry+backoff, hard failures surfaced as Status, a
+// failing madvise hint that must not fail the open, and FreeListPool
+// exhaustion degrading to counted transient allocations with
 // bit-identical query results.
 
 #include <gtest/gtest.h>
@@ -147,6 +148,26 @@ TEST_F(SnapshotRetryTest, RetryBudgetOfOneMeansNoRetry) {
   auto opened = KeywordSearchEngine::Open(path_, RetryOptions(1));
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(failpoint::HitCount("snapshot.open"), 1u);
+}
+
+TEST_F(SnapshotRetryTest, MadviseFailureDoesNotFailOpen) {
+  // Prefetch advice is an optimization, never a correctness dependency: an
+  // armed snapshot.madvise failpoint must leave the open, and its answers,
+  // intact.
+  failpoint::Arm("snapshot.madvise", failpoint::kAlways);
+  auto opened = KeywordSearchEngine::Open(path_, RetryOptions(1));
+  EXPECT_GT(failpoint::HitCount("snapshot.madvise"), 0u);
+  failpoint::DisarmAll();
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+
+  const KeywordSearchEngine cold(dataset_.store, dataset_.dictionary);
+  const auto expected = cold.Search({"publication", "author"}, 5);
+  const auto actual = (*opened)->Search({"publication", "author"}, 5);
+  ASSERT_EQ(expected.queries.size(), actual.queries.size());
+  for (std::size_t i = 0; i < expected.queries.size(); ++i) {
+    EXPECT_EQ(expected.queries[i].canonical, actual.queries[i].canonical) << i;
+    EXPECT_EQ(expected.queries[i].cost, actual.queries[i].cost) << i;
+  }
 }
 
 TEST_F(FailpointTest, PoolExhaustionDegradesToCountedTransients) {

@@ -705,5 +705,46 @@ TEST(EngineScopeTest, UnresolvableScopeYieldsNoRelationalAnswers) {
   EXPECT_TRUE(result.queries.empty());
 }
 
+/// A keyword V-vertex matching every keyword is a one-node subgraph with no
+/// edge for the exploration's scope to reject; the mapping re-attaches it
+/// through an incident A-edge, which must be one the scope admits. On TAP,
+/// a `description` literal matches all of {history, album, 2}; attached
+/// without regard to the scope it would rank as description(?x, '...')
+/// under a {name} scope.
+TEST(EngineScopeTest, LoneValueVertexIsAttachedOnlyInScope) {
+  rdf::Dictionary dictionary;
+  rdf::TripleStore store;
+  datagen::TapOptions tap;
+  tap.num_classes = 100;
+  datagen::GenerateTap(tap, &dictionary, &store);
+  store.Finalize();
+  KeywordSearchEngine engine(store, dictionary);
+
+  KeywordSearchEngine::KeywordQuery query;
+  query.keywords = {"history", "album", "2"};
+  query.k = 10;
+  query.predicate_scope = {"name"};
+  const auto result = engine.Search(query);
+  EXPECT_FALSE(result.queries.empty());
+
+  std::set<rdf::TermId> allowed;
+  for (rdf::TermId t = 0; t < dictionary.size(); ++t) {
+    if (dictionary.kind(t) == rdf::TermKind::kIri &&
+        rdf::IriLocalName(dictionary.text(t)) == "name") {
+      allowed.insert(t);
+    }
+  }
+  ASSERT_FALSE(allowed.empty());
+  allowed.insert(engine.data_graph().type_term());
+  allowed.insert(engine.data_graph().subclass_term());
+  for (std::size_t i = 0; i < result.queries.size(); ++i) {
+    for (const query::Atom& atom : result.queries[i].query.atoms()) {
+      EXPECT_TRUE(allowed.count(atom.predicate) > 0)
+          << "rank " << i + 1 << " uses out-of-scope predicate "
+          << dictionary.text(atom.predicate);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace grasp::core

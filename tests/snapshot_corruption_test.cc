@@ -239,6 +239,63 @@ TEST_F(SnapshotCorruptionTest, DuplicateSectionId) {
                  "duplicate id");
 }
 
+TEST_F(SnapshotCorruptionTest, ReservedSectionIdIsIgnored) {
+  // Images written by earlier builds may carry an optional per-vertex
+  // partition section under the reserved id 34 ([block count, block of each
+  // data vertex...]). The reader skips ids it does not know, so such an
+  // image must open and answer exactly like the cold engine.
+  std::vector<char> image = bytes_;
+  FileHeader header;
+  std::memcpy(&header, image.data(), sizeof(header));
+  std::vector<SectionEntry> table(header.section_count);
+  std::memcpy(table.data(), image.data() + sizeof(FileHeader),
+              table.size() * sizeof(SectionEntry));
+  std::uint64_t first_payload = image.size();
+  for (const SectionEntry& e : table) {
+    first_payload = std::min(first_payload, e.offset);
+  }
+  // One more entry must still fit in front of the first payload page.
+  ASSERT_LE(sizeof(FileHeader) + (table.size() + 1) * sizeof(SectionEntry),
+            first_payload);
+
+  const std::size_t vertices = engine_->data_graph().NumVertices();
+  std::vector<std::uint32_t> payload(vertices + 1);
+  payload[0] = 2;
+  for (std::size_t v = 0; v < vertices; ++v) payload[v + 1] = v % 2;
+  SectionEntry reserved;
+  reserved.id = 34;
+  reserved.elem_size = sizeof(std::uint32_t);
+  reserved.offset = (image.size() + snapshot::kPageSize - 1) /
+                    snapshot::kPageSize * snapshot::kPageSize;
+  reserved.byte_length = payload.size() * sizeof(std::uint32_t);
+  reserved.checksum =
+      snapshot::Checksum64(payload.data(), reserved.byte_length);
+  image.resize(reserved.offset + reserved.byte_length, '\0');
+  std::memcpy(image.data() + reserved.offset, payload.data(),
+              reserved.byte_length);
+  table.push_back(reserved);
+
+  header.section_count = static_cast<std::uint32_t>(table.size());
+  header.file_size = image.size();
+  header.table_checksum = snapshot::Checksum64(
+      table.data(), table.size() * sizeof(SectionEntry));
+  std::memcpy(image.data() + sizeof(FileHeader), table.data(),
+              table.size() * sizeof(SectionEntry));
+  std::memcpy(image.data(), &header, sizeof(header));
+  WriteFileBytes(path_, image);
+
+  auto opened = KeywordSearchEngine::Open(path_);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const auto warm = (*opened)->Search({"2006", "cimiano", "aifb"}, 5);
+  const auto cold = engine_->Search({"2006", "cimiano", "aifb"}, 5);
+  ASSERT_EQ(warm.queries.size(), cold.queries.size());
+  ASSERT_FALSE(cold.queries.empty());
+  for (std::size_t i = 0; i < cold.queries.size(); ++i) {
+    EXPECT_EQ(warm.queries[i].canonical, cold.queries[i].canonical) << i;
+    EXPECT_EQ(warm.queries[i].cost, cold.queries[i].cost) << i;
+  }
+}
+
 TEST_F(SnapshotCorruptionTest, NotASnapshotAtAll) {
   std::vector<char> junk(8192, '\x42');
   ExpectRejected(junk, "junk file");
